@@ -3,24 +3,30 @@
 Recovery is a pure function of the WAL directory and the service
 configuration:
 
-1. load ``checkpoint.json`` (verified whole-payload SHA-256) — the
-   decided ledger through ``through_seq``;
+1. load ``checkpoint.json`` — its body's SHA-256 is checked against the
+   header line before the body is parsed once — the decided ledger
+   through ``through_seq``;
 2. parse ``wal.log``, repairing (physically truncating) a torn tail the
    crash legitimately left, and fold its records into ledger entries,
-   skipping anything the checkpoint already covers;
+   skipping anything the checkpoint already covers (equal wire chains
+   decode to one shared chain object, as they were before the crash);
 3. replay every effective job, in ledger order, through a **fresh**
-   arbitrator built with :func:`~repro.service.service.make_arbitrator`
-   and demand — via :func:`repro.verify.checks.verify_replay` — that
-   every logged decision is reproduced *bit-identically* and that the
-   independent :class:`~repro.verify.auditor.ScheduleAuditor` finds zero
-   violations in the recovered schedule;
+   arbitrator built with :func:`~repro.service.service.make_arbitrator`,
+   in one ``admit_batch`` call — the API the service decided them with —
+   and demand, via :func:`repro.verify.checks.verify_replay`, that every
+   logged decision is reproduced *bit-identically*, entry by entry, and
+   that the independent :class:`~repro.verify.auditor.ScheduleAuditor`
+   finds zero violations in the recovered schedule;
 4. re-decide the undecided tail (jobs logged before the crash whose
    decision append never landed) and durably log those decisions, so a
    second crash straight after recovery replays idempotently.
 
 Because the tie-break policy is forbidden from being ``RANDOM`` and the
 batch API is decision-equivalent to the serial loop, the replayed
-schedule *is* the pre-crash schedule — not an approximation of it.
+schedule *is* the pre-crash schedule — not an approximation of it.  That
+claim is checked, not assumed: the per-entry comparison against the log
+and the auditor would both catch a replay that drifted, whatever its
+cause.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.policies import TieBreakPolicy
 from repro.errors import (
     ConfigurationError,
+    ServiceError,
     ServiceUnavailableError,
     TransientWorkerError,
 )
@@ -618,8 +619,19 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> Path:
-        """Snapshot the decided ledger and truncate the WAL."""
-        assert all(e.decision is not None for e in self.entries)
+        """Snapshot the decided ledger and truncate the WAL.
+
+        Raises :class:`~repro.errors.ServiceError` (and writes nothing)
+        if any entry is still undecided: the truncation would otherwise
+        hide it below the checkpoint's watermark.  The WAL is truncated
+        only once :func:`write_checkpoint` has made the new checkpoint,
+        rename included, durable.
+        """
+        for entry in self.entries:
+            if entry.decision is None:
+                raise ServiceError(
+                    f"refusing to checkpoint: entry seq {entry.seq} is undecided"
+                )
         path = write_checkpoint(self.wal.directory, self.entries)
         self.wal.truncate()
         self.counters["checkpoints"] += 1

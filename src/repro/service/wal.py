@@ -48,12 +48,31 @@ Checkpoints
 -----------
 
 ``checkpoint.json`` snapshots the complete decided ledger (all entries
-since the origin) plus the highest sequence number it covers.  It is
-written atomically (temp file + ``os.replace``) with a whole-payload
-SHA-256, after which ``wal.log`` is truncated to empty.  Recovery loads
-the checkpoint first and ignores WAL records with ``seq <=
-through_seq`` — so a crash *between* checkpoint write and log truncation
-replays idempotently.
+since the origin) plus the highest sequence number it covers.  The file
+is one header line — the SHA-256 hex digest of the body — followed by
+the body bytes it hashes::
+
+    <sha256 hex>\n
+    {"version":2,"through_seq":N,"jobs":[<job body>,...],"dec":[...]}\n
+
+Each ``jobs`` element is byte-for-byte the job body a WAL ``jobs`` record
+carries (one job encoding for both files, see :func:`_entry_json`) and
+``dec`` holds the aligned decision tuples.  The reader verifies one
+SHA-256 over the raw body before parsing it once; a damaged header or
+body, or a checkpoint of another format version, raises
+:class:`~repro.errors.WalCorruptionError`.  The file is written
+atomically (temp file + fsync + ``os.replace`` + directory fsync), after
+which ``wal.log`` is truncated to empty.  Recovery loads the checkpoint
+first and ignores WAL records with ``seq <= through_seq`` — so a crash
+*between* checkpoint write and log truncation replays idempotently.
+
+Decoding (:func:`read_checkpoint`, :func:`records_to_entries`) gives equal
+wire chains one shared :class:`~repro.model.chain.TaskChain`, as the
+generators that created the jobs did before the crash.  The checksums
+only prove the bytes are the ones written; that the ledger they hold is
+the pre-crash schedule is proven separately at recovery, by per-entry
+bit-identical replay and the independent auditor
+(:mod:`repro.service.recovery`).
 """
 
 from __future__ import annotations
@@ -63,7 +82,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -75,7 +94,7 @@ from repro.model.job import Job
 from repro.model.task import TaskSpec
 
 __all__ = [
-    "WAL_VERSION",
+    "CHECKPOINT_VERSION",
     "DecisionTuple",
     "decision_to_tuple",
     "LedgerEntry",
@@ -85,7 +104,10 @@ __all__ = [
     "write_checkpoint",
 ]
 
-WAL_VERSION = 1
+#: Format version of ``checkpoint.json``.  Version 1 wrapped the payload
+#: in a JSON object next to a SHA-256 of its re-serialization; version 2
+#: hashes the body bytes as written (module docstring).
+CHECKPOINT_VERSION = 2
 
 #: ``(admitted, chain_index | None, ((start, width, duration), ...))`` —
 #: the canonical bit-exact decision fingerprint, the same shape the
@@ -142,26 +164,49 @@ def _job_to_wire(job: Job) -> list[object]:
     ]
 
 
-def _job_from_wire(data: Sequence[object]) -> Job:
-    job_id, release, name, chains = data
-    return Job(
-        chains=tuple(
-            TaskChain(
-                tuple(
-                    TaskSpec(
-                        str(tname),
-                        ProcessorTimeRequest(int(procs), float(dur)),
-                        deadline=math.inf if dl is None else float(dl),
-                        quality=float(q),
-                        max_concurrency=int(mc),
-                    )
-                    for tname, procs, dur, dl, q, mc in tasks
-                ),
-                label=str(label),
-                params=params,  # type: ignore[arg-type]
+def _chain_from_wire(data: Sequence[object]) -> TaskChain:
+    label, params, tasks = data
+    return TaskChain(
+        tuple(
+            TaskSpec(
+                str(tname),
+                ProcessorTimeRequest(int(procs), float(dur)),
+                deadline=math.inf if dl is None else float(dl),
+                quality=float(q),
+                max_concurrency=int(mc),
             )
-            for label, params, tasks in chains  # type: ignore[union-attr]
+            for tname, procs, dur, dl, q, mc in tasks  # type: ignore[union-attr]
         ),
+        label=str(label),
+        params=params,  # type: ignore[arg-type]
+    )
+
+
+#: Decode-side chain interning table: ``repr`` of a JSON-decoded wire
+#: chain -> the one :class:`TaskChain` built for it.  Each decoding call
+#: owns a fresh table, so equal chains within one file share an object
+#: (as they did in the generator that created them) and nothing outlives
+#: the call.
+ChainTable = dict[str, TaskChain]
+
+
+def _job_from_wire(data: Sequence[object], chains: ChainTable) -> Job:
+    """Decode one wire job, reusing ``chains`` for repeated wire chains.
+
+    The key is the ``repr`` of the decoded JSON value: exact (it keeps
+    ``1`` and ``1.0`` apart, and every float's shortest round-trip
+    digits) and far cheaper than building the chain it stands for.
+    """
+    job_id, release, name, wire_chains = data
+    decoded = []
+    for wire in wire_chains:  # type: ignore[union-attr]
+        key = repr(wire)
+        chain = chains.get(key)
+        if chain is None:
+            chain = chains[key] = _chain_from_wire(wire)
+        decoded.append(chain)
+    return Job(
+        chains=tuple(decoded),
         release=float(release),  # type: ignore[arg-type]
         job_id=int(job_id),  # type: ignore[arg-type]
         name=str(name),
@@ -213,13 +258,16 @@ class LedgerEntry:
         }
 
     @staticmethod
-    def from_job_record(body: Mapping[str, object]) -> "LedgerEntry":
+    def from_job_record(
+        body: Mapping[str, object], chains: ChainTable
+    ) -> "LedgerEntry":
+        """Decode one job body, sharing chains through the caller's table."""
         return LedgerEntry(
             seq=int(body["seq"]),  # type: ignore[arg-type]
             request_id=str(body["rid"]),
             qos=int(body["cls"]),  # type: ignore[arg-type]
             degraded=bool(body["deg"]),
-            job=_job_from_wire(body["job"]),  # type: ignore[arg-type]
+            job=_job_from_wire(body["job"], chains),  # type: ignore[arg-type]
         )
 
 
@@ -485,17 +533,19 @@ def records_to_entries(
     ``min_seq`` drops job records already covered by a checkpoint.
     Replay is idempotent: a duplicate ``seq`` (the service re-appending
     after a recovery) keeps the first occurrence; a ``dec`` record for an
-    entry that already has a decision must agree with it.
+    entry that already has a decision must agree with it.  Equal wire
+    chains decode to one shared :class:`TaskChain`.
     """
     by_seq: dict[int, LedgerEntry] = {}
+    chains: ChainTable = {}
     for record in records:
         kind = record.get("k")
         if kind == "job" or kind == "jobs":
             bodies = record["jobs"] if kind == "jobs" else (record,)
             for body in bodies:  # type: ignore[union-attr]
-                entry = LedgerEntry.from_job_record(body)
-                if entry.seq > min_seq and entry.seq not in by_seq:
-                    by_seq[entry.seq] = entry
+                seq = int(body["seq"])
+                if seq > min_seq and seq not in by_seq:
+                    by_seq[seq] = LedgerEntry.from_job_record(body, chains)
         elif kind == "dec":
             seqs = record["seqs"]
             decisions = record["dec"]
@@ -525,42 +575,58 @@ def records_to_entries(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_payload(entries: Sequence[LedgerEntry]) -> dict[str, object]:
-    return {
-        "version": WAL_VERSION,
-        "through_seq": max((e.seq for e in entries), default=0),
-        "entries": [
-            {
-                **e.job_record(),
-                "dec": None if e.decision is None else _tuple_to_wire(e.decision),
-            }
-            for e in entries
-        ],
-    }
-
-
 def write_checkpoint(
     directory: str | Path, entries: Sequence[LedgerEntry]
 ) -> Path:
-    """Atomically snapshot the decided ledger; returns the checkpoint path.
+    """Atomically and durably snapshot the ledger; returns the checkpoint path.
 
-    Entries without decisions are *excluded* (they are still only in the
-    WAL, which is truncated up to ``through_seq`` — an undecided entry
-    must never be checkpoint-hidden below that watermark, so callers
-    checkpoint only decided prefixes; :meth:`AdmissionService.checkpoint`
-    enforces this).
+    Every entry is written, decided or not.  Callers checkpoint only
+    decided ledgers — the WAL is truncated up to ``through_seq`` next, so
+    an undecided entry must never be hidden below that watermark
+    (:meth:`AdmissionService.checkpoint` refuses to; recovery rejects a
+    checkpoint that does).  The job bodies are the WAL's own encoding
+    (:func:`_entry_json`), so chains already logged are cache hits.
+
+    When this returns, the rename is durable too: the directory is
+    fsync'd after ``os.replace``, so truncating the WAL afterwards can
+    never outlive a rename lost to a power failure.
     """
     directory = Path(directory)
-    payload = _checkpoint_payload(entries)
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    wrapper = {"sha256": hashlib.sha256(blob.encode()).hexdigest(), "data": payload}
+    through_seq = max((e.seq for e in entries), default=0)
+    decisions = _dumps(
+        [None if e.decision is None else _tuple_to_wire(e.decision) for e in entries]
+    )
+    body = (
+        f'{{"version":{CHECKPOINT_VERSION},"through_seq":{through_seq},'
+        f'"jobs":[{",".join([_entry_json(e) for e in entries])}],'
+        f'"dec":{decisions}}}\n'
+    ).encode("utf-8")
     tmp = directory / "checkpoint.json.tmp"
     path = directory / "checkpoint.json"
-    tmp.write_text(json.dumps(wrapper, separators=(",", ":")) + "\n")
-    with open(tmp, "rb") as fh:
+    with open(tmp, "wb") as fh:
+        fh.write(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+        fh.write(body)
+        fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
     return path
+
+
+def _wrapped_version(data: bytes) -> object:
+    """The version a version-1 (JSON-wrapped) checkpoint declares, else None.
+
+    Only consulted to name the version in the error for a file that is
+    not a current checkpoint; nothing of such a file is ever loaded.
+    """
+    try:
+        return json.loads(data)["data"]["version"]
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def read_checkpoint(
@@ -568,31 +634,49 @@ def read_checkpoint(
 ) -> tuple[list[LedgerEntry], int]:
     """Load ``checkpoint.json``; returns ``(entries, through_seq)``.
 
-    A missing checkpoint is the empty ledger.  A checksum or version
-    mismatch raises :class:`~repro.errors.WalCorruptionError` — a damaged
-    checkpoint silently ignored would silently drop acked decisions.
+    A missing checkpoint is the empty ledger.  The body's SHA-256 is
+    checked against the header before anything is parsed; a damaged
+    header or body, or any other format version, raises
+    :class:`~repro.errors.WalCorruptionError` — a damaged checkpoint
+    silently ignored would silently drop acked decisions.  Equal wire
+    chains decode to one shared :class:`TaskChain`.
     """
     path = Path(directory) / "checkpoint.json"
-    if not path.exists():
-        return [], 0
     try:
-        wrapper = json.loads(path.read_text())
-        payload = wrapper["data"]
-        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        if hashlib.sha256(blob.encode()).hexdigest() != wrapper["sha256"]:
-            raise WalCorruptionError(f"{path}: checkpoint checksum mismatch")
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    header, _, body = data.partition(b"\n")
+    if hashlib.sha256(body).hexdigest().encode("ascii") != header:
+        version = _wrapped_version(data)
+        if version is not None:
+            raise WalCorruptionError(
+                f"{path}: unsupported checkpoint version {version!r} "
+                f"(this reader loads version {CHECKPOINT_VERSION} only)"
+            )
+        raise WalCorruptionError(f"{path}: checkpoint checksum mismatch")
+    try:
+        payload = json.loads(body)
+        version = payload["version"]
+        if version != CHECKPOINT_VERSION:
+            raise WalCorruptionError(
+                f"{path}: unsupported checkpoint version {version!r}"
+            )
+        jobs, decisions = payload["jobs"], payload["dec"]
+        if len(jobs) != len(decisions):
+            raise WalCorruptionError(
+                f"{path}: {len(jobs)} jobs but {len(decisions)} decisions"
+            )
+        chains: ChainTable = {}
+        entries = []
+        for body_json, wire in zip(jobs, decisions):
+            entry = LedgerEntry.from_job_record(body_json, chains)
+            if wire is not None:
+                entry.decision = _tuple_from_wire(wire)
+            entries.append(entry)
+        through_seq = int(payload["through_seq"])
     except WalCorruptionError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise WalCorruptionError(f"{path}: unreadable checkpoint: {exc}") from exc
-    if payload.get("version") != WAL_VERSION:
-        raise WalCorruptionError(
-            f"{path}: unsupported checkpoint version {payload.get('version')!r}"
-        )
-    entries = []
-    for item in payload["entries"]:
-        entry = LedgerEntry.from_job_record(item)
-        if item.get("dec") is not None:
-            entry = replace(entry, decision=_tuple_from_wire(item["dec"]))
-        entries.append(entry)
-    return entries, int(payload["through_seq"])
+    return entries, through_seq

@@ -55,6 +55,7 @@ including the classic off-by-one-epsilon reservation — is flagged.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -232,10 +233,9 @@ class ScheduleAuditor:
         by_id = self._job_index(jobs)
         for cp in placements:
             self._audit_chain(cp, by_id)
-        slices = self._audit_capacity(
-            self._intervals(placements), schedule.capacity
-        )
-        self._audit_profile(schedule, placements)
+        intervals = self._intervals(placements)
+        slices = self._audit_capacity(intervals, schedule.capacity)
+        self._audit_profile(schedule, intervals)
         if self.ledger and schedule.keeps_placements:
             self._audit_ledger(schedule, placements)
         return AuditReport(
@@ -542,7 +542,9 @@ class ScheduleAuditor:
     # Profile cross-check
     # ------------------------------------------------------------------
 
-    def _audit_profile(self, schedule: "Schedule", placements) -> None:
+    def _audit_profile(
+        self, schedule: "Schedule", intervals: list[_Interval]
+    ) -> None:
         """Compare profile availability against placement-implied busy time.
 
         Works purely on the profile's *data* (its segment list), never its
@@ -550,6 +552,13 @@ class ScheduleAuditor:
         history and are skipped; a placement interval overlapping the
         origin contributes only its surviving ``[origin, end)`` part,
         matching commit/adopt-carried semantics.
+
+        One sweep over increasing probe times: sorted start and end events
+        keep a running busy count (integer widths, so the sum is exact),
+        and a heap of the segments opened so far yields the first segment,
+        in profile order, that contains the probe.  Both therefore read
+        exactly what a scan of every interval and segment per probe would,
+        even on a corrupted profile whose segments overlap.
         """
         profile = schedule.profile
         capacity = schedule.capacity
@@ -566,7 +575,6 @@ class ScheduleAuditor:
                 )
         if self.profile_mode == "off" or not schedule.keeps_placements:
             return
-        intervals = self._intervals(placements)
         strict = self.profile_mode == "strict"
         # Probe between every boundary of either description: profile
         # segment edges alone are not enough, because a corrupted profile
@@ -582,26 +590,40 @@ class ScheduleAuditor:
                 if t >= origin:
                     boundaries.add(t)
         cuts = sorted(boundaries)
+        # Only non-empty extents can ever contain a probe (this also drops
+        # NaN ones), and for those "opened and not yet closed" is exactly
+        # "contains the probe" while probes only move forward.
+        live = [iv for iv in intervals if iv.start < iv.end]
+        starts = sorted((iv.start, iv.processors) for iv in live)
+        ends = sorted((iv.end, iv.processors) for iv in live)
+        opens = sorted(
+            (seg_start, index)
+            for index, (seg_start, seg_end, _avail) in enumerate(segments)
+            if seg_start < seg_end
+        )
+        open_heap: list[int] = []  # indices of opened segments
+        n_starts, n_ends, n_opens = len(starts), len(ends), len(opens)
+        si = ei = oi = 0
+        busy = 0
         for i, t0 in enumerate(cuts):
             t1 = cuts[i + 1] if i + 1 < len(cuts) else math.inf
             if t1 - t0 <= self.eps:
                 continue
             probe = t0 + min((t1 - t0) / 2, 0.5)
-            avail = next(
-                (
-                    a
-                    for seg_start, seg_end, a in segments
-                    if seg_start <= probe < seg_end
-                ),
-                None,
-            )
-            if avail is None:
+            while si < n_starts and starts[si][0] <= probe:
+                busy += starts[si][1]
+                si += 1
+            while ei < n_ends and ends[ei][0] <= probe:
+                busy -= ends[ei][1]
+                ei += 1
+            while oi < n_opens and opens[oi][0] <= probe:
+                heapq.heappush(open_heap, opens[oi][1])
+                oi += 1
+            while open_heap and segments[open_heap[0]][1] <= probe:
+                heapq.heappop(open_heap)  # closed for good: probes only grow
+            if not open_heap:
                 continue  # probe precedes the first retained segment
-            busy = sum(
-                iv.processors
-                for iv in intervals
-                if iv.start <= probe and iv.end > probe
-            )
+            avail = segments[open_heap[0]][2]
             expected = capacity - busy
             if strict and avail != expected:
                 self._flag(

@@ -204,7 +204,7 @@ def verify_replay(
     malleable: bool = False,
     strict: bool = True,
 ):
-    """Serially replay ``jobs`` through a *fresh* arbitrator and judge it.
+    """Replay ``jobs`` through a *fresh* arbitrator and judge the result.
 
     The crash-recovery contract: re-offering the WAL's effective jobs, in
     ledger order, to an identically configured arbitrator must reproduce
@@ -213,6 +213,15 @@ def verify_replay(
     — those are decided now and simply reported back).  The recovered
     schedule is then audited by the independent
     :class:`~repro.verify.auditor.ScheduleAuditor`.
+
+    The jobs go through one :meth:`~QoSArbitrator.admit_batch` call, the
+    same API the service decided them with.  Its equivalence contract
+    (decisions bit-identical to serial ``submit``) is guarded by the
+    differential fuzzer and ``tests/core/test_admit_batch.py``; this
+    function does not lean on it for trust.  Recovery stays independently
+    checked: every replayed decision is compared with the logged tuple,
+    entry by entry, and the auditor re-derives the schedule's invariants
+    from the placements and job definitions alone.
 
     Returns ``(decisions, report)``; with ``strict`` (the default) any
     fingerprint mismatch or audit violation raises
@@ -223,11 +232,9 @@ def verify_replay(
         raise VerificationError(
             f"replay: {len(jobs)} jobs but {len(expected)} expected decisions"
         )
-    decisions = []
+    decisions = arbitrator.admit_batch(jobs)
     mismatches: list[str] = []
-    for index, (job, want) in enumerate(zip(jobs, expected)):
-        decision = arbitrator.submit(job)
-        decisions.append(decision)
+    for index, (job, want, decision) in enumerate(zip(jobs, expected, decisions)):
         if want is not None:
             got = _decision_fingerprint(decision)
             if tuple(got) != tuple(want):

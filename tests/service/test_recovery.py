@@ -218,3 +218,36 @@ def test_verify_replay_flags_divergence_and_audits(tmp_path):
         verify_replay(make_arbitrator(config), list(jobs), tampered)
     with pytest.raises(VerificationError):
         verify_replay(make_arbitrator(config), list(jobs), expected[:-1])
+
+
+def test_recover_mixed_checkpoint_wal_tail_and_degraded_ledger(tmp_path):
+    """Checkpoint entries, WAL-tail entries and degraded jobs, one replay."""
+    from repro.service.wal import read_checkpoint
+
+    capacity, jobs = _workload(seed=29, n=24)
+    # Occupancy is always >= 0: every multi-chain job is logged degraded.
+    config = ServiceConfig(
+        capacity=capacity, max_batch=3, checkpoint_every=6, degrade_occupancy=0.0
+    )
+    _, acked = _run_service(config, tmp_path, jobs, kill_after=20)
+    checkpointed, through_seq = read_checkpoint(tmp_path)
+    assert checkpointed and through_seq > 0
+
+    state = recover(tmp_path, config)
+    assert state.report.ok and state.redecided == 0
+    seqs = [e.seq for e in state.entries]
+    assert any(s <= through_seq for s in seqs) and any(s > through_seq for s in seqs)
+    degraded = [e for e in state.entries if e.degraded]
+    assert degraded and any(e.seq > through_seq for e in degraded)
+    assert any(e.seq <= through_seq for e in degraded)
+    assert [decision_to_tuple(d) for d in state.decisions] == [
+        e.decision for e in state.entries
+    ]
+    by_rid = {e.request_id: e.decision for e in state.entries}
+    for answer in acked:
+        assert by_rid[answer.request_id] == decision_to_tuple(answer.decision)
+    # The restored ledger decides the same way through a plain serial loop.
+    serial = make_arbitrator(config)
+    assert [decision_to_tuple(serial.submit(e.job)) for e in state.entries] == [
+        e.decision for e in state.entries
+    ]

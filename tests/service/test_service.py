@@ -290,3 +290,109 @@ def test_permanent_worker_failure_fail_stops(tmp_path):
     assert service.counters["retries"] == 2  # both attempts failed
     # The job record hit the WAL before the failure; recovery owns it.
     assert service.counters["acked"] == 0
+
+
+def _one_decided_service(tmp_path):
+    capacity, jobs = _workload(seed=31, n=3)
+    service = AdmissionService(_config(capacity), tmp_path)
+    asyncio.run(_submit_all(service, jobs))
+    assert service.entries and all(e.decision is not None for e in service.entries)
+    return service, jobs
+
+
+def test_checkpoint_truncates_the_wal_only_after_the_rename_is_durable(
+    tmp_path, monkeypatch
+):
+    """Power-loss order: temp fsync, rename, directory fsync, then truncate.
+
+    Were the WAL truncated before the directory fsync, a power failure
+    could keep the truncation and lose the rename — and with it every
+    acked decision since the previous checkpoint.
+    """
+    import os
+    import stat
+
+    service, _ = _one_decided_service(tmp_path)
+    events = []
+    real = {name: getattr(os, name) for name in ("fsync", "replace", "ftruncate")}
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync:{kind}")
+        real["fsync"](fd)
+
+    def replace_(src, dst):
+        events.append("replace")
+        real["replace"](src, dst)
+
+    def ftruncate(fd, length):
+        events.append("truncate")
+        real["ftruncate"](fd, length)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace_)
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    service.checkpoint()
+    service.wal.close()
+    assert events[:4] == ["fsync:file", "replace", "fsync:dir", "truncate"]
+
+
+def test_checkpoint_refuses_undecided_entries(tmp_path):
+    from repro.errors import ServiceError
+    from repro.service.wal import LedgerEntry
+
+    service, jobs = _one_decided_service(tmp_path)
+    service.entries.append(
+        LedgerEntry(seq=99, request_id="undecided", qos=0, degraded=False, job=jobs[0])
+    )
+    wal_before = (tmp_path / "wal.log").read_bytes()
+    with pytest.raises(ServiceError, match="seq 99"):
+        service.checkpoint()
+    service.wal.close()
+    assert not (tmp_path / "checkpoint.json").exists()
+    assert (tmp_path / "wal.log").read_bytes() == wal_before
+
+
+def test_checkpoint_refuses_undecided_entries_under_python_O(tmp_path):
+    """The guard is a real check, not an ``assert`` that ``-O`` strips."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import repro
+
+    script = textwrap.dedent(
+        f"""
+        import random
+        from repro.errors import ServiceError
+        from repro.service.chaos import chaos_workload
+        from repro.service.service import AdmissionService, ServiceConfig
+        from repro.service.wal import LedgerEntry
+
+        if __debug__:
+            raise SystemExit("expected to run with assertions disabled")
+        capacity, jobs = chaos_workload(random.Random(31), 1, False)
+        service = AdmissionService(ServiceConfig(capacity=capacity), {str(tmp_path)!r})
+        service.entries.append(
+            LedgerEntry(seq=1, request_id="u", qos=0, degraded=False, job=jobs[0])
+        )
+        try:
+            service.checkpoint()
+        except ServiceError:
+            print("refused")
+        else:
+            print("checkpointed")
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.strip() == "refused"
+    assert not (tmp_path / "checkpoint.json").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import zlib
@@ -9,6 +10,7 @@ import zlib
 import pytest
 
 from repro.errors import WalCorruptionError
+from repro.model.job import Job
 from repro.service.wal import (
     LedgerEntry,
     WriteAheadLog,
@@ -174,19 +176,51 @@ def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
 
 
 def test_checkpoint_checksum_and_version_guards(tmp_path):
+    """Every way a checkpoint file can be wrong raises; absence is empty."""
     entries = _entries(1)
     entries[0].decision = REJ
     write_checkpoint(tmp_path, entries)
     path = tmp_path / "checkpoint.json"
+    good = path.read_bytes()
+    header, _, body = good.partition(b"\n")
+    assert header == hashlib.sha256(body).hexdigest().encode()
 
-    wrapper = json.loads(path.read_text())
-    wrapper["data"]["through_seq"] = 99  # tamper without re-hashing
-    path.write_text(json.dumps(wrapper))
+    # One body byte flipped, header not re-hashed.
+    tampered = bytearray(good)
+    tampered[len(header) + 1 + body.index(b'"through_seq":1') + 14] = ord("9")
+    path.write_bytes(bytes(tampered))
+    with pytest.raises(WalCorruptionError, match="checksum"):
+        read_checkpoint(tmp_path)
+
+    # A damaged header over an intact body.
+    damaged = bytearray(good)
+    damaged[0] = ord("0") if damaged[0] != ord("0") else ord("1")
+    path.write_bytes(bytes(damaged))
     with pytest.raises(WalCorruptionError):
         read_checkpoint(tmp_path)
 
-    path.write_text("not json at all")
-    with pytest.raises(WalCorruptionError):
+    # Bytes that were never a checkpoint.
+    for junk in (b"not json at all", b"", body):
+        path.write_bytes(junk)
+        with pytest.raises(WalCorruptionError):
+            read_checkpoint(tmp_path)
+
+    # A correctly hashed body of another version is refused, not loaded.
+    other = body.replace(b'"version":2', b'"version":3')
+    path.write_bytes(hashlib.sha256(other).hexdigest().encode() + b"\n" + other)
+    with pytest.raises(WalCorruptionError, match="version 3"):
+        read_checkpoint(tmp_path)
+
+    # A version-1 (JSON-wrapped, re-serialization hashed) checkpoint.
+    payload = {
+        "version": 1,
+        "through_seq": 1,
+        "entries": [{**entries[0].job_record(), "dec": [False, None, []]}],
+    }
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    wrapper = {"sha256": hashlib.sha256(blob.encode()).hexdigest(), "data": payload}
+    path.write_text(json.dumps(wrapper, separators=(",", ":")) + "\n")
+    with pytest.raises(WalCorruptionError, match="version 1"):
         read_checkpoint(tmp_path)
 
     missing = tmp_path / "fresh"
@@ -219,3 +253,132 @@ def test_crc_framing_rejects_bit_rot(tmp_path):
     path.write_bytes(b"00000000 " + body + b"\n" + line)
     with pytest.raises(WalCorruptionError):
         read_wal(path)
+
+
+def _decided(entries):
+    for i, e in enumerate(entries):
+        e.decision = DEC if i % 2 else REJ
+    return entries
+
+
+def _shared_and_odd_entries():
+    """Generator jobs sharing chain objects, plus unrelated random jobs."""
+    from repro.workloads.synthetic import SyntheticParams
+
+    params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
+    jobs = [params.tunable_job(float(i)) for i in range(6)]
+    assert jobs[0].chains[0] is jobs[1].chains[0]
+    jobs += [e.job for e in _entries(3, seed=7)]
+    return _decided([
+        LedgerEntry(seq=i + 1, request_id=f"r{i}", qos=i % 3,
+                    degraded=bool(i % 2), job=job)
+        for i, job in enumerate(jobs)
+    ])
+
+
+def test_checkpoint_write_read_write_is_byte_identical(tmp_path):
+    entries = _shared_and_odd_entries()
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    write_checkpoint(first, entries)
+    loaded, through = read_checkpoint(first)
+    assert through == len(entries)
+    assert [(e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in loaded] == [
+        (e.seq, e.request_id, e.qos, e.degraded, e.decision) for e in entries
+    ]
+    assert [job_to_dict(e.job) for e in loaded] == [job_to_dict(e.job) for e in entries]
+    write_checkpoint(second, loaded)
+    assert (second / "checkpoint.json").read_bytes() == (
+        first / "checkpoint.json"
+    ).read_bytes()
+
+
+def test_checkpoint_body_reuses_the_wal_job_encoding(tmp_path):
+    from repro.service.wal import _dumps
+
+    entries = _shared_and_odd_entries()
+    write_checkpoint(tmp_path, entries)
+    body = (tmp_path / "checkpoint.json").read_bytes().partition(b"\n")[2]
+    payload = json.loads(body)
+    assert payload["version"] == 2 and payload["through_seq"] == len(entries)
+    assert payload["jobs"] == [e.job_record() for e in entries]
+    assert len(payload["dec"]) == len(entries)
+    for e in entries:
+        assert _dumps(e.job_record()).encode() in body
+
+
+def _check_interning(originals, loaded):
+    """Decoded chains equal the originals, with one object per distinct value.
+
+    Position-wise equality means an object shared by two positions equals
+    both originals, so chains are only ever shared when equal.
+    """
+    decoded = [c for e in loaded for c in e.job.chains]
+    assert decoded == [c for e in originals for c in e.job.chains]
+    values = []
+    for chain in decoded:
+        if not any(chain == seen for seen in values):
+            values.append(chain)
+    assert len({id(c) for c in decoded}) == len(values)
+
+
+def test_decoding_interns_equal_chains(tmp_path):
+    from repro.workloads.synthetic import SyntheticParams
+
+    params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
+    # Equal chains as *separate* objects, so sharing on decode comes from
+    # the codec, not from the inputs.
+    a, b = (
+        Job(chains=(params.shape1_chain(), params.shape2_chain()),
+            release=float(i), job_id=i)
+        for i in range(2)
+    )
+    assert a.chains[0] == b.chains[0] and a.chains[0] is not b.chains[0]
+    entries = _decided([
+        LedgerEntry(seq=i + 1, request_id=f"r{i}", qos=0, degraded=False, job=job)
+        for i, job in enumerate([a, b] + [e.job for e in _entries(4, seed=3)])
+    ])
+
+    write_checkpoint(tmp_path, entries)
+    from_checkpoint, _ = read_checkpoint(tmp_path)
+    assert from_checkpoint[0].job.chains[0] is from_checkpoint[1].job.chains[0]
+    assert from_checkpoint[0].job.chains[0] is not from_checkpoint[0].job.chains[1]
+    _check_interning(entries, from_checkpoint)
+
+    wal = WriteAheadLog(tmp_path / "wal", fsync=False)
+    wal.append_jobs(entries[:3])
+    wal.append_jobs(entries[3:])
+    wal.close()
+    records, _ = read_wal(tmp_path / "wal" / "wal.log")
+    from_wal = records_to_entries(records)
+    assert from_wal[0].job.chains[0] is from_wal[1].job.chains[0]
+    _check_interning(entries, from_wal)
+
+    # The table is per call: nothing is shared across two decodes.
+    again = records_to_entries(records)
+    assert again[0].job.chains[0] is not from_wal[0].job.chains[0]
+
+
+def test_write_checkpoint_makes_the_rename_durable_before_returning(
+    tmp_path, monkeypatch
+):
+    import os
+    import stat
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync:{kind}")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_checkpoint(tmp_path, _decided(_entries(2)))
+    assert events == ["fsync:file", "replace", "fsync:dir"]
