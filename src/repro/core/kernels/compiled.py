@@ -22,6 +22,27 @@ __all__ = ["CompiledKernels", "load"]
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+
+#: ``repro_admit_batch`` parameters in C order: the dtype of each array,
+#: ``None`` for an ``int64`` scalar.
+_BATCH_PARAMS = (
+    ("times_buf", _F64), ("avail_buf", _I64), ("prefix_buf", _F64),
+    ("scratch_times", _F64), ("scratch_avail", _I64), ("buf_cap", None),
+    ("prof_state", _I64), ("capacity", None), ("n_jobs", None),
+    ("releases", _F64), ("job_chain_off", _I64), ("chain_task_off", _I64),
+    ("task_procs", _I64), ("task_dur", _F64), ("task_deadline", _F64),
+    ("task_quality", _F64), ("policy", None), ("use_dup", None),
+    ("use_dom", None), ("use_cap", None), ("do_compact", None),
+    ("max_chains", None), ("max_tasks", None), ("dscratch", _F64),
+    ("iscratch", _I64), ("out_chain", _I64), ("out_starts", _F64),
+    ("counters", _I64),
+)
+
+#: Zero-length byte array type: ``from_buffer`` on it yields an array's
+#: data address, refusing buffers that are not writable and C-contiguous.
+_AT = ctypes.c_char * 0
 
 
 def _dp(arr: np.ndarray):
@@ -54,18 +75,9 @@ class CompiledKernels:
             _c_int64_p, ctypes.c_int64, ctypes.c_int64,
         )
         lib.repro_admit_batch.restype = ctypes.c_int64
-        lib.repro_admit_batch.argtypes = (
-            _c_double_p, _c_int64_p, _c_double_p, _c_double_p, _c_int64_p,
-            ctypes.c_int64,  # buf_cap
-            _c_int64_p,      # prof_state
-            ctypes.c_int64, ctypes.c_int64,  # capacity, n_jobs
-            _c_double_p, _c_int64_p, _c_int64_p,  # releases, job/chain offsets
-            _c_int64_p, _c_double_p, _c_double_p, _c_double_p,  # task arrays
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64,  # policy, use_dup, use_dom, use_cap, do_compact
-            ctypes.c_int64, ctypes.c_int64,  # max_chains, max_tasks
-            _c_double_p, _c_int64_p,         # dscratch, iscratch
-            _c_int64_p, _c_double_p, _c_int64_p,  # out_chain, out_starts, counters
+        lib.repro_admit_batch.argtypes = tuple(
+            ctypes.c_int64 if dtype is None else ctypes.c_void_p
+            for _, dtype in _BATCH_PARAMS
         )
         self._lib = lib
         got = int(lib.repro_abi_version())
@@ -105,23 +117,65 @@ class CompiledKernels:
         """Raw batched admission call; see ``_kernels.c`` for the layout.
 
         Keyword names match the C parameter names one-to-one.  Returns
-        the C status code (0 = OK); the driver in
-        :mod:`repro.core.kernels.batch` owns buffer preparation and
-        result write-back.
+        the C status code (0 = OK); :mod:`repro.core.kernels.batch` owns
+        buffer preparation and write-back.  Arrays that are not 1-D,
+        writable, C-contiguous, of their dtype and long enough
+        (:func:`_check_batch_lengths`) raise ``ValueError`` before C runs.
         """
-        return int(self._lib.repro_admit_batch(
-            _dp(kw["times_buf"]), _ip(kw["avail_buf"]), _dp(kw["prefix_buf"]),
-            _dp(kw["scratch_times"]), _ip(kw["scratch_avail"]),
-            kw["buf_cap"], _ip(kw["prof_state"]), kw["capacity"],
-            kw["n_jobs"], _dp(kw["releases"]), _ip(kw["job_chain_off"]),
-            _ip(kw["chain_task_off"]), _ip(kw["task_procs"]),
-            _dp(kw["task_dur"]), _dp(kw["task_deadline"]),
-            _dp(kw["task_quality"]), kw["policy"], kw["use_dup"],
-            kw["use_dom"], kw["use_cap"], kw["do_compact"],
-            kw["max_chains"], kw["max_tasks"], _dp(kw["dscratch"]),
-            _ip(kw["iscratch"]), _ip(kw["out_chain"]), _dp(kw["out_starts"]),
-            _ip(kw["counters"]),
-        ))
+        _check_batch_lengths(kw)
+        return int(self._lib.repro_admit_batch(*[
+            kw[name] if dtype is None else _address(name, kw[name], dtype)
+            for name, dtype in _BATCH_PARAMS
+        ]))
+
+
+def _address(name: str, arr: np.ndarray, dtype: np.dtype) -> int:
+    if not (
+        isinstance(arr, np.ndarray) and arr.ndim == 1
+        and (arr.dtype is dtype or arr.dtype == dtype)
+    ):
+        raise ValueError(f"admit_batch: {name} must be a 1-D {dtype} ndarray")
+    try:
+        return ctypes.addressof(_AT.from_buffer(arr))
+    except TypeError as exc:  # read-only or not C-contiguous
+        raise ValueError(f"admit_batch: {name}: {exc}") from exc
+
+
+def _check_batch_lengths(kw: dict) -> None:
+    """Check, O(1) each, that arrays hold what C indexes: by ``n_jobs``,
+    ``buf_cap``, the chain and task counts (the last offsets) and
+    ``max_chains × max_tasks``.  Monotone offsets and fan-outs within those
+    maxima stay the caller's contract (:func:`flatten_jobs` keeps it)."""
+
+    def need(name: str, length: int):
+        arr = kw[name]
+        if len(arr) < length:
+            raise ValueError(
+                f"admit_batch: {name} has {len(arr)} elements, needs {length}"
+            )
+        return arr
+
+    n_jobs, cap = kw["n_jobs"], kw["buf_cap"]
+    mc, mt = kw["max_chains"], kw["max_tasks"]
+    if min(n_jobs, cap, mc, mt) < 0:
+        raise ValueError("admit_batch: negative size argument")
+    for name, length in (
+        ("times_buf", cap), ("avail_buf", cap), ("prefix_buf", cap),
+        ("scratch_times", cap + 4), ("scratch_avail", cap + 4),
+        ("releases", n_jobs), ("out_chain", n_jobs), ("counters", 12),
+        ("dscratch", mc * mt + 3 * mc + mt), ("iscratch", 4 * mc),
+    ):
+        need(name, length)
+    lo, n = (int(v) for v in need("prof_state", 2)[:2])
+    if not 0 <= lo <= lo + n <= cap:
+        raise ValueError(f"admit_batch: profile window [{lo}, {lo + n}) past buf_cap")
+    n_chains = int(need("job_chain_off", n_jobs + 1)[n_jobs])
+    n_tasks = int(need("chain_task_off", max(n_chains, 0) + 1)[n_chains])
+    if min(n_chains, n_tasks) < 0:
+        raise ValueError("admit_batch: negative chain or task count")
+    for name in ("task_procs", "task_dur", "task_deadline", "task_quality",
+                 "out_starts"):
+        need(name, n_tasks)
 
 
 _loaded: CompiledKernels | None = None

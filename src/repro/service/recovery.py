@@ -8,8 +8,10 @@ configuration:
    through ``through_seq``;
 2. parse ``wal.log``, repairing (physically truncating) a torn tail the
    crash legitimately left, and fold its records into ledger entries,
-   skipping anything the checkpoint already covers (equal wire chains
-   decode to one shared chain object, as they were before the crash);
+   skipping anything the checkpoint already covers.  Both files use the
+   version-3 ledger codec of :mod:`repro.service.wal`, whose chain table
+   entries are built once per decode: equal chains come back as one
+   shared object, as they were before the crash;
 3. replay every effective job, in ledger order, through a **fresh**
    arbitrator built with :func:`~repro.service.service.make_arbitrator`,
    in one ``admit_batch`` call — the API the service decided them with —

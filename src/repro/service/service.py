@@ -475,6 +475,9 @@ class AdmissionService:
             try:
                 await self._process(batch)
             except asyncio.CancelledError:
+                # kill() mid-batch (a retry backoff): answer it like the queue.
+                for pending in batch:
+                    self._resolve_exception(pending, "service crashed")
                 raise
             except Exception as exc:
                 # Fail-stop: a decision path or WAL failure the retry

@@ -201,3 +201,67 @@ def test_earliest_fit_arrays_infinite_tail():
         times, avail, 2, 0, 2, 100.0, 0.0, math.inf
     )
     assert start == 1.0
+
+
+# -- the ctypes boundary ---------------------------------------------------
+
+
+def _captured_admit_batch_args(monkeypatch):
+    """The keyword arguments of one real compiled ``admit_batch`` call."""
+    from repro.core.kernels import compiled
+    from repro.workloads.synthetic import SyntheticParams
+
+    captured = {}
+    real = compiled._check_batch_lengths
+
+    def record(kw):
+        captured.update(kw)
+        real(kw)
+
+    monkeypatch.setattr(compiled, "_check_batch_lengths", record)
+    params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
+    with kernels.use("compiled"):
+        arbitrator = QoSArbitrator(16)
+        arbitrator.admit_batch([params.tunable_job(float(i)) for i in range(6)])
+        impl = kernels.active()
+    monkeypatch.setattr(compiled, "_check_batch_lengths", real)
+    assert captured, "the compiled batch path was not taken"
+    return impl, captured
+
+
+#: Each malformed in one way; all must be refused before C runs.
+_MALFORMED = {
+    "wrong-dtype-float": ("task_dur", lambda kw: kw["task_dur"].astype(np.float32)),
+    "wrong-dtype-int": ("task_procs", lambda kw: kw["task_procs"].astype(np.int32)),
+    "non-contiguous": ("times_buf", lambda kw: np.repeat(kw["times_buf"], 2)[::2]),
+    "two-dimensional": ("dscratch", lambda kw: kw["dscratch"].reshape(1, -1)),
+    "read-only": ("counters", lambda kw: np.broadcast_to(kw["counters"], 12)),
+    "not-an-array": ("releases", lambda kw: kw["releases"].tolist()),
+    "short-out_starts": ("out_starts", lambda kw: kw["out_starts"][:-1].copy()),
+    "short-out_chain": ("out_chain", lambda kw: np.empty(0, dtype=np.int64)),
+    "buf_cap-beyond-buffers": ("buf_cap", lambda kw: len(kw["times_buf"]) + 1),
+    "max_chains-too-large": ("max_chains", lambda kw: kw["max_chains"] * 50),
+    "profile-window-past-buf_cap": (
+        "prof_state", lambda kw: np.array([0, kw["buf_cap"] + 1], dtype=np.int64)
+    ),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_admit_batch_rejects_malformed_arrays_before_running_c(monkeypatch, case):
+    impl, kw = _captured_admit_batch_args(monkeypatch)
+    name, bad = _MALFORMED[case]
+    calls = []
+    spy = type("Lib", (), {"repro_admit_batch": lambda *a: calls.append(a)})
+    monkeypatch.setattr(impl, "_lib", spy())
+    with pytest.raises(ValueError, match="admit_batch"):
+        impl.admit_batch(**{**kw, name: bad(kw)})
+    assert calls == []  # C never saw the batch
+
+
+@needs_compiled
+def test_admit_batch_accepts_well_formed_arrays(monkeypatch):
+    impl, kw = _captured_admit_batch_args(monkeypatch)
+    kw = {**kw, "n_jobs": 0}  # a valid call that commits nothing
+    assert impl.admit_batch(**kw) == 0

@@ -292,6 +292,29 @@ def test_permanent_worker_failure_fail_stops(tmp_path):
     assert service.counters["acked"] == 0
 
 
+def test_kill_during_retry_backoff_answers_the_batch_in_flight(tmp_path):
+    capacity, jobs = _workload(n=1)
+    config = _config(capacity, backoff_base=0.2, backoff_cap=1.0, max_attempts=8)
+
+    def down(arbitrator, batch):
+        raise TransientWorkerError("injected")
+
+    async def run():
+        service = AdmissionService(config, tmp_path, decide=down)
+        service.start()
+        future = await service.enqueue(jobs[0], request_id="r0")
+        await asyncio.sleep(0.05)
+        assert not future.done()  # parked in the first retry backoff
+        service.kill()
+        await asyncio.wait([future], timeout=1.0)
+        return future
+
+    future = asyncio.run(run())
+    assert future.done()
+    with pytest.raises(ServiceUnavailableError, match="crashed"):
+        future.result()
+
+
 def _one_decided_service(tmp_path):
     capacity, jobs = _workload(seed=31, n=3)
     service = AdmissionService(_config(capacity), tmp_path)
