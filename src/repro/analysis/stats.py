@@ -11,7 +11,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigurationError
 
@@ -36,6 +35,10 @@ def mean_ci(
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0:
         return (mean, mean, mean)
+    # Imported here: SciPy costs about a second of start-up, and importing
+    # the package (service, recovery, simulator) never needs it.
+    from scipy import stats as sps
+
     half = float(sps.t.ppf(0.5 + confidence / 2, df=arr.size - 1)) * sem
     return (mean, mean - half, mean + half)
 

@@ -24,6 +24,7 @@ from typing import Sequence
 from repro.core import kernels
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.kernels import batch as kernel_batch
+from repro.core.kernels.compiled import BatchWorkspace
 from repro.core.greedy import GreedyScheduler
 from repro.core.malleable import MalleableScheduler, MalleableStrategy
 from repro.core.placement import ChainPlacement
@@ -123,6 +124,8 @@ class QoSArbitrator:
         self.admission = AdmissionController(self.scheduler, compact=compact)
         self._quality_sum = 0.0
         self._quality_possible = 0.0
+        #: Buffers of the compiled batch path, made on its first use.
+        self._batch_workspace: BatchWorkspace | None = None
 
     # ------------------------------------------------------------------
 

@@ -20,13 +20,15 @@
  * Two entry points matter:
  *
  * - ``repro_earliest_fit``: one fit probe over the profile's NumPy
- *   mirrors (the ``"kernel"`` scan back-end; correctness/differential
- *   path — per-call ctypes overhead makes it no faster than Python for
- *   single probes on small profiles).
+ *   mirrors (the ``"kernel"`` scan back-end).  The binding passes each
+ *   array's raw address and checks the indices in O(1), so a probe costs
+ *   a few microseconds of crossing: it pays off against the Python walk
+ *   on long, fragmented profiles and is about level on short ones.
  * - ``repro_admit_batch``: the whole serial admission loop for a vector
- *   of jobs in ONE call — compaction, pruning, probing, tie-breaks and
- *   profile commits all run in C over flattened arrays.  This is the
- *   100k+ decisions/sec path.
+ *   of jobs in ONE call — compaction, pruning, probing, tie-breaks,
+ *   profile commits and the PRODUCT/MIN quality accumulators all run in
+ *   C over flattened arrays held in a resident per-arbitrator workspace.
+ *   This is the 100k+ decisions/sec path.
  */
 
 #include <math.h>
@@ -38,7 +40,7 @@
 #define QUICK_EPS 1e-9  /* chain.is_trivially_infeasible slack */
 #define UTIL_EPS 1e-12  /* policies.select_candidate utilization slack */
 
-#define ABI_VERSION 2
+#define ABI_VERSION 3
 
 /* Status codes returned by repro_admit_batch (0 = OK).  Any nonzero
  * status means "this batch cannot be decided in C" — the Python driver
@@ -49,6 +51,13 @@
 #define BATCH_ERR_SHIFT (-2)     /* _shift precondition violated (scheduler bug) */
 #define BATCH_ERR_CAPACITY (-3)  /* commit exceeded capacity (scheduler bug) */
 #define BATCH_ERR_POLICY (-4)    /* unsupported tie-break policy code */
+#define BATCH_ERR_QUALITY (-5)   /* unsupported quality_mode code */
+
+/* Quality composition codes: how repro_admit_batch updates quality_acc
+ * (MEAN uses math.fsum, so the Python side keeps it and passes NONE). */
+#define QUALITY_NONE 0
+#define QUALITY_PRODUCT 1
+#define QUALITY_MIN 2
 
 /* Tie-break policy codes (subset of TieBreakPolicy: RANDOM is excluded
  * from the fast path because it consumes a Python RNG stream). */
@@ -506,6 +515,26 @@ static int prefix_cmp(int64_t a, int64_t b, const int64_t *off,
     return 0;
 }
 
+/* model.quality.chain_quality for PRODUCT (compose_product: 1.0 times
+ * each quality in order) or MIN (compose_min: Python min keeps the first
+ * of equal values) */
+static double chain_q(int64_t c, const int64_t *off, const double *q,
+                      int64_t mode)
+{
+    int64_t t0 = off[c], t1 = off[c + 1];
+    if (mode == QUALITY_PRODUCT) {
+        double out = 1.0;
+        for (int64_t k = t0; k < t1; k++)
+            out *= q[k];
+        return out;
+    }
+    double m = q[t0];
+    for (int64_t k = t0 + 1; k < t1; k++)
+        if (q[k] < m)
+            m = q[k];
+    return m;
+}
+
 /* ------------------------------------------------------------------ */
 /* Exported API                                                        */
 /* ------------------------------------------------------------------ */
@@ -552,7 +581,14 @@ int64_t repro_range_min(const int64_t *avail, int64_t lo, int64_t hi)
  * dscratch: max_chains*max_tasks + 3*max_chains + max_tasks doubles;
  * iscratch: 4*max_chains int64s.  Replays greedy._prober exactly:
  * duplicate collapse, failure propagation, incumbent finish capping,
- * then select_candidate's earliest-finish + policy tie-break. */
+ * then select_candidate's earliest-finish + policy tie-break.
+ *
+ * With quality_mode PRODUCT or MIN, quality_acc[0] (the arbitrator's
+ * quality-possible) gains each job's best chain quality before its
+ * decision (Job.best_quality: Python max keeps the first of equal
+ * values) and quality_acc[1] (quality-sum) the admitted chain's quality
+ * after it: the serial loop's additions, in its order.  Like the
+ * profile, the accumulators are only meaningful on BATCH_OK. */
 int64_t repro_admit_batch(
     double *times_buf, int64_t *avail_buf, double *prefix_buf,
     double *scratch_times, int64_t *scratch_avail, int64_t buf_cap,
@@ -564,11 +600,14 @@ int64_t repro_admit_batch(
     int64_t use_dom, int64_t use_cap, int64_t do_compact,
     int64_t max_chains, int64_t max_tasks, double *dscratch,
     int64_t *iscratch, int64_t *out_chain, double *out_starts,
-    int64_t *counters)
+    int64_t *counters, int64_t quality_mode, double *quality_acc)
 {
     if (policy != POLICY_PAPER && policy != POLICY_FIRST &&
         policy != POLICY_PREFIX)
         return BATCH_ERR_POLICY;
+    if (quality_mode != QUALITY_NONE && quality_mode != QUALITY_PRODUCT &&
+        quality_mode != QUALITY_MIN)
+        return BATCH_ERR_QUALITY;
     Prof prof;
     prof.times = times_buf;
     prof.avail = avail_buf;
@@ -598,6 +637,17 @@ int64_t repro_admit_batch(
         if (do_compact)
             prof_compact(p, release);
         int64_t c_begin = job_chain_off[jb], c_end = job_chain_off[jb + 1];
+        if (quality_mode != QUALITY_NONE) {
+            double best = chain_q(c_begin, chain_task_off, task_quality,
+                                  quality_mode);
+            for (int64_t c = c_begin + 1; c < c_end; c++) {
+                double cq = chain_q(c, chain_task_off, task_quality,
+                                    quality_mode);
+                if (cq > best)
+                    best = cq;
+            }
+            quality_acc[0] += best;
+        }
         int64_t ncand = 0, nkeyed = 0, nfailed = 0;
         double cap = INFINITY;
         for (int64_t c = c_begin; c < c_end; c++) {
@@ -736,6 +786,9 @@ int64_t repro_admit_batch(
         }
         counters[K_COMMITS] += 1;
         out_chain[jb] = cc;
+        if (quality_mode != QUALITY_NONE)
+            quality_acc[1] += chain_q(cc, chain_task_off, task_quality,
+                                      quality_mode);
     }
     prof_state[0] = p->lo;
     prof_state[1] = p->n;

@@ -5,12 +5,15 @@ Two strategies, both honouring the equivalence contract (*a batch
 replays bit-identical to the serial submit loop in arrival order*):
 
 1. :func:`try_admit_batch_compiled` — flatten the whole batch into
-   contiguous arrays and run ``repro_admit_batch`` (the entire serial
-   admission loop — compaction, prunes, probes, tie-breaks, commits) in
-   ONE C call, then write the resulting profile window, decisions and
-   accounting back into the live objects.  The C kernel works on
-   scratch copies, so any error status (unsupported policy, buffer
-   overflow) simply discards them and falls through to strategy 2.
+   the arbitrator's resident
+   :class:`~repro.core.kernels.compiled.BatchWorkspace` and run
+   ``repro_admit_batch`` (the entire serial admission loop —
+   compaction, prunes, probes, tie-breaks, commits, PRODUCT/MIN quality
+   accumulators) in ONE C call, then write the resulting profile
+   window, decisions and accounting back into the live objects.  The C
+   kernel works on copies in the workspace, so any error status
+   (unsupported policy, buffer overflow) simply leaves the live state
+   alone and falls through to strategy 2.
    Eligibility: plain rigid :class:`GreedyScheduler`, EARLIEST_FINISH
    objective, deterministic tie-break (RANDOM consumes a Python RNG
    stream), compiled kernel loaded.
@@ -33,7 +36,6 @@ replays bit-identical to the serial submit loop in arrival order*):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,6 +43,12 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.admission import AdmissionDecision
+from repro.core.kernels.compiled import (
+    QUALITY_MIN,
+    QUALITY_NONE,
+    QUALITY_PRODUCT,
+    BatchWorkspace,
+)
 from repro.core.placement import ChainPlacement, Placement
 from repro.core.policies import TieBreakPolicy
 from repro.model.chain import TaskChain
@@ -65,27 +73,45 @@ _POLICY_CODES = {
 _MAX_CHAINS = 512
 _MAX_TASKS = 512
 
+#: Compositions the C loop accumulates (MEAN's ``math.fsum`` stays here).
+_QUALITY_MODES = {
+    QualityComposition.PRODUCT: QUALITY_PRODUCT,
+    QualityComposition.MIN: QUALITY_MIN,
+}
+
+#: PerfRecorder counters fed from counter slots 7.. of ``_kernels.c``.
+_PERF_COUNTERS = (
+    "chains_probed",
+    "chains_quick_rejected",
+    "chains_area_rejected",
+    "chains_pruned_dominated",
+    "commits",
+)
+
 
 @dataclass(slots=True)
 class FlatBatch:
-    """A job vector flattened into contiguous arrays (C layout).
+    """A job vector flattened into columns (C layout).
 
     Chain areas and prefix sums are *not* flattened — the C kernel
     recomputes them from ``task_procs``/``task_dur`` with the exact
     float operations of :attr:`TaskChain.total_area` /
     :meth:`TaskChain.prefix_areas`, which keeps flattening (the
     dominant Python-side cost of a batch) to one attribute sweep.
+    :func:`try_admit_batch_compiled` copies the columns into the
+    arbitrator's :class:`~repro.core.kernels.compiled.BatchWorkspace`
+    and keeps the offsets for the write-back.
     """
 
     jobs: Sequence[Job]
     chains: list[TaskChain]  # global chain index -> chain object
-    releases: np.ndarray           # [n_jobs] float64
-    job_chain_off: np.ndarray      # [n_jobs+1] int64
-    chain_task_off: np.ndarray     # [n_chains+1] int64
-    task_procs: np.ndarray         # [n_tasks] int64
-    task_dur: np.ndarray           # [n_tasks] float64
-    task_deadline: np.ndarray      # [n_tasks] float64
-    task_quality: np.ndarray       # [n_tasks] float64
+    releases: list[float]          # [n_jobs]
+    job_chain_off: list[int]       # [n_jobs+1]
+    chain_task_off: list[int]      # [n_chains+1]
+    task_procs: list[int]          # [n_tasks]
+    task_dur: list[float]          # [n_tasks]
+    task_deadline: list[float]     # [n_tasks]
+    task_quality: list[float]      # [n_tasks]
     max_chains: int
     max_tasks: int
 
@@ -95,7 +121,7 @@ class FlatBatch:
 
 
 def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch:
-    """Flatten a job vector for the C kernel / the vectorized pre-screen.
+    """Flatten a job vector for the C kernel.
 
     Written for throughput: this runs once per batch but touches every
     task, and at the 100k-decisions/sec operating point it is the
@@ -142,13 +168,13 @@ def flatten_jobs(jobs: Sequence[Job]) -> FlatBatch:
     return FlatBatch(
         jobs=jobs,
         chains=chains,
-        releases=np.asarray(releases, dtype=np.float64),
-        job_chain_off=np.asarray(job_chain_off, dtype=np.int64),
-        chain_task_off=np.asarray(chain_task_off, dtype=np.int64),
-        task_procs=np.asarray(task_procs, dtype=np.int64),
-        task_dur=np.asarray(task_dur, dtype=np.float64),
-        task_deadline=np.asarray(task_deadline, dtype=np.float64),
-        task_quality=np.asarray(task_quality, dtype=np.float64),
+        releases=releases,
+        job_chain_off=job_chain_off,
+        chain_task_off=chain_task_off,
+        task_procs=task_procs,
+        task_dur=task_dur,
+        task_deadline=task_deadline,
+        task_quality=task_quality,
         max_chains=max_chains,
         max_tasks=max_tasks,
     )
@@ -173,81 +199,72 @@ def try_admit_batch_compiled(
     flat = flatten_jobs(jobs)
     if flat.max_chains > _MAX_CHAINS or flat.max_tasks > _MAX_TASKS:
         return None
-    schedule = arbitrator.schedule
-    profile = schedule.profile
-
-    n0 = len(profile._times)  # noqa: SLF001 - same package, hot path
+    profile = arbitrator.schedule.profile
+    times_m, avail_m = profile._mirrors()  # noqa: SLF001 - same package, hot path
+    n0 = len(times_m)
+    n_jobs = len(jobs)
+    n_chains = len(flat.chains)
+    n_tasks = flat.n_tasks
     # Each committed task splits at most two segments; headroom on top.
-    buf_cap = n0 + 2 * flat.n_tasks + 8
-    times_buf = np.empty(buf_cap, dtype=np.float64)
-    avail_buf = np.empty(buf_cap, dtype=np.int64)
-    times_buf[:n0] = profile._times  # noqa: SLF001
-    avail_buf[:n0] = profile._avail  # noqa: SLF001
-    prof_state = np.array([0, n0], dtype=np.int64)
-    out_chain = np.empty(len(jobs), dtype=np.int64)
-    out_starts = np.empty(max(flat.n_tasks, 1), dtype=np.float64)
-    counters = np.zeros(12, dtype=np.int64)
-    mc, mt = flat.max_chains, flat.max_tasks
+    buf_cap = n0 + 2 * n_tasks + 8
+    ws = arbitrator._batch_workspace  # noqa: SLF001
+    if ws is None:
+        ws = arbitrator._batch_workspace = BatchWorkspace()  # noqa: SLF001
+    ws.reserve(buf_cap, n_jobs, n_chains, n_tasks, flat.max_chains, flat.max_tasks)
+    ws.times_buf[:n0] = times_m
+    ws.avail_buf[:n0] = avail_m
+    ws.prof_state[:] = (0, n0)
+    ws.releases[:n_jobs] = flat.releases
+    ws.job_chain_off[: n_jobs + 1] = flat.job_chain_off
+    ws.chain_task_off[: n_chains + 1] = flat.chain_task_off
+    ws.task_procs[:n_tasks] = flat.task_procs
+    ws.task_dur[:n_tasks] = flat.task_dur
+    ws.task_deadline[:n_tasks] = flat.task_deadline
+    ws.task_quality[:n_tasks] = flat.task_quality
+    ws.counters.fill(0)
+    quality_mode = _QUALITY_MODES.get(arbitrator.quality_composition, QUALITY_NONE)
+    ws.quality_acc[:] = (
+        arbitrator._quality_possible, arbitrator._quality_sum  # noqa: SLF001
+    )
     status = impl.admit_batch(
-        times_buf=times_buf,
-        avail_buf=avail_buf,
-        prefix_buf=np.empty(buf_cap, dtype=np.float64),
-        scratch_times=np.empty(buf_cap + 4, dtype=np.float64),
-        scratch_avail=np.empty(buf_cap + 4, dtype=np.int64),
+        ws,
         buf_cap=buf_cap,
-        prof_state=prof_state,
         capacity=profile.capacity,
-        n_jobs=len(jobs),
-        releases=flat.releases,
-        job_chain_off=flat.job_chain_off,
-        chain_task_off=flat.chain_task_off,
-        task_procs=flat.task_procs,
-        task_dur=flat.task_dur,
-        task_deadline=flat.task_deadline,
-        task_quality=flat.task_quality,
+        n_jobs=n_jobs,
         policy=policy_code,
         use_dup=int(scheduler.prune),  # policy is deterministic here
         use_dom=int(scheduler.prune and scheduler.SUPPORTS_DOMINANCE),
         use_cap=int(scheduler.prune and scheduler.SUPPORTS_FINISH_CAP),
         do_compact=int(arbitrator.admission.compact),
-        max_chains=mc,
-        max_tasks=mt,
-        dscratch=np.empty(mc * mt + 3 * mc + mt, dtype=np.float64),
-        iscratch=np.empty(4 * mc, dtype=np.int64),
-        out_chain=out_chain,
-        out_starts=out_starts,
-        counters=counters,
+        max_chains=flat.max_chains,
+        max_tasks=flat.max_tasks,
+        quality_mode=quality_mode,
     )
     if status != 0:
         kernels.note_fallback(f"admit_batch kernel status {status}")
         return None
-    return _apply_batch_results(
-        arbitrator, flat, times_buf, avail_buf, prof_state, out_chain,
-        out_starts, counters,
-    )
+    return _apply_batch_results(arbitrator, flat, ws, quality_mode)
 
 
 def _apply_batch_results(
     arbitrator: "QoSArbitrator",
     flat: FlatBatch,
-    times_buf: np.ndarray,
-    avail_buf: np.ndarray,
-    prof_state: np.ndarray,
-    out_chain: np.ndarray,
-    out_starts: np.ndarray,
-    counters: np.ndarray,
+    ws: BatchWorkspace,
+    quality_mode: int,
 ) -> list[AdmissionDecision]:
     """Write the C results back into profile, schedule and accounting.
 
-    Replays exactly the per-job accounting order of the serial loop
-    (quality-possible before the decision, quality-sum and admission
-    counters after), so every float accumulator matches bit-for-bit.
+    The C loop already replayed the PRODUCT/MIN quality accumulators in
+    the serial loop's order; MEAN (``math.fsum``) replays here per job,
+    quality-possible before the decision and quality-sum after, so
+    every float accumulator matches bit-for-bit.
     """
     schedule = arbitrator.schedule
     profile = schedule.profile
-    lo, n = int(prof_state[0]), int(prof_state[1])
-    new_times = times_buf[lo : lo + n].copy()
-    new_avail = avail_buf[lo : lo + n].copy()
+    lo, n = ws.prof_state.tolist()
+    # Copies: the workspace buffers are overwritten by the next batch.
+    new_times = ws.times_buf[lo : lo + n].copy()
+    new_avail = ws.avail_buf[lo : lo + n].copy()
     profile._times = new_times.tolist()  # noqa: SLF001
     profile._avail = new_avail.tolist()  # noqa: SLF001
     profile._np_times = new_times  # noqa: SLF001
@@ -256,71 +273,41 @@ def _apply_batch_results(
     if profile._segtree is not None:  # noqa: SLF001
         profile._segtree.mark_dirty(0)  # noqa: SLF001
 
+    (
+        shift_ops, touched, last_touched, probes, probe_segments,
+        prefix_rebuilds, compactions, *perf_counts,
+    ) = ws.counters.tolist()
     stats = profile.stats
-    stats.shift_ops += int(counters[0])
-    stats.segments_touched += int(counters[1])
-    if counters[0]:
-        stats.last_touched = int(counters[2])
-    stats.probes += int(counters[3])
-    stats.probe_segments += int(counters[4])
-    stats.prefix_rebuilds += int(counters[5])
-    stats.compactions += int(counters[6])
+    stats.shift_ops += shift_ops
+    stats.segments_touched += touched
+    if shift_ops:
+        stats.last_touched = last_touched
+    stats.probes += probes
+    stats.probe_segments += probe_segments
+    stats.prefix_rebuilds += prefix_rebuilds
+    stats.compactions += compactions
     perf = schedule.perf
-    for name, slot in (
-        ("chains_probed", 7),
-        ("chains_quick_rejected", 8),
-        ("chains_area_rejected", 9),
-        ("chains_pruned_dominated", 10),
-        ("commits", 11),
-    ):
-        if counters[slot]:
-            perf.count(name, int(counters[slot]))
+    for name, count in zip(_PERF_COUNTERS, perf_counts):
+        if count:
+            perf.count(name, count)
 
     admission = arbitrator.admission
     comp = arbitrator.quality_composition
-
-    # Quality accounting.  PRODUCT / MIN compose with order-exact numpy
-    # reductions (sequential multiply / exact min over each chain's task
-    # slice, then an exact max across each job's chains), and the running
-    # accumulators are replayed with a cumsum seeded by the current value
-    # — the identical left-to-right float additions the serial loop
-    # performs.  MEAN uses math.fsum, which has no cheap vector
-    # equivalent, so it keeps the per-job Python calls.
-    chain_q = None
-    if len(flat.chains) and flat.n_tasks:
-        starts_idx = flat.chain_task_off[:-1]
-        if comp is QualityComposition.PRODUCT:
-            chain_q = np.multiply.reduceat(flat.task_quality, starts_idx)
-        elif comp is QualityComposition.MIN:
-            chain_q = np.minimum.reduceat(flat.task_quality, starts_idx)
-    if chain_q is not None:
-        best_q = np.maximum.reduceat(chain_q, flat.job_chain_off[:-1])
-        arbitrator._quality_possible = float(  # noqa: SLF001
-            np.cumsum(
-                np.concatenate(
-                    ((arbitrator._quality_possible,), best_q)  # noqa: SLF001
-                )
-            )[-1]
+    mean = quality_mode == QUALITY_NONE
+    if not mean:
+        arbitrator._quality_possible, arbitrator._quality_sum = (  # noqa: SLF001
+            ws.quality_acc.tolist()
         )
-        admitted_q = chain_q[out_chain[out_chain >= 0]]
-        if admitted_q.size:
-            arbitrator._quality_sum = float(  # noqa: SLF001
-                np.cumsum(
-                    np.concatenate(
-                        ((arbitrator._quality_sum,), admitted_q)  # noqa: SLF001
-                    )
-                )[-1]
-            )
 
     # One conversion each instead of a NumPy scalar read per job.
-    chosen = out_chain.tolist()
-    starts = out_starts.tolist()
-    chain_off = flat.job_chain_off.tolist()
-    task_off = flat.chain_task_off.tolist()
+    chosen = ws.out_chain[: len(flat.jobs)].tolist()
+    starts = ws.out_starts[: flat.n_tasks].tolist()
+    chain_off = flat.job_chain_off
+    task_off = flat.chain_task_off
     decisions: list[AdmissionDecision] = []
     append = decisions.append
     for jb, job in enumerate(flat.jobs):
-        if chain_q is None:
+        if mean:
             arbitrator._quality_possible += job.best_quality(comp)  # noqa: SLF001
         c = chosen[jb]
         if c < 0:
@@ -351,7 +338,7 @@ def _apply_batch_results(
         admission.decisions_by_chain[chain_index] = (
             admission.decisions_by_chain.get(chain_index, 0) + 1
         )
-        if chain_q is None:
+        if mean:
             arbitrator._quality_sum += chain_quality(chain, comp)  # noqa: SLF001
         append(AdmissionDecision(job.job_id, True, cp))
     return decisions

@@ -25,6 +25,16 @@ _encode = json.JSONEncoder(
 ).encode
 
 
+def _json_values(value):
+    """``value`` with every tuple turned into a list and every mapping
+    into a dict, recursively: the shapes ``json.loads`` gives back."""
+    if isinstance(value, Mapping):
+        return {k: _json_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_values(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class TaskChain:
     """An ordered, non-empty sequence of :class:`~repro.model.task.TaskSpec`.
@@ -41,6 +51,9 @@ class TaskChain:
         The control-parameter assignment that selects this path, when the
         chain was produced by the tunability preprocessor (Section 4); the
         QoS agent uses it to configure the application after negotiation.
+        Stored as a fresh dict in JSON's value domain (tuples become
+        lists, at any depth), so a chain read back from the ledger
+        compares equal to the one that was logged.
     """
 
     tasks: tuple[TaskSpec, ...]
@@ -60,7 +73,7 @@ class TaskChain:
             if not isinstance(t, TaskSpec):
                 raise InvalidChainError(f"chain element {t!r} is not a TaskSpec")
         if self.params is not None:
-            object.__setattr__(self, "params", dict(self.params))
+            object.__setattr__(self, "params", _json_values(self.params))
 
     # ------------------------------------------------------------------
 

@@ -21,8 +21,12 @@ from repro.core import kernels
 from repro.core.arbitrator import ArbitrationObjective, QoSArbitrator
 from repro.core.policies import TieBreakPolicy
 from repro.core.schedule import Schedule
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import ConfigurationError
+from repro.model.chain import TaskChain
+from repro.model.job import Job
 from repro.model.quality import QualityComposition
+from repro.model.task import TaskSpec
 from repro.resilience.events import CapacityEvent
 from repro.service.wal import LedgerEntry, WriteAheadLog
 from repro.verify.fuzz import (
@@ -255,3 +259,102 @@ def test_random_policy_batch_uses_serial_replay():
                 case, policy=TieBreakPolicy.RANDOM, audit=False
             )
             assert batch == serial
+
+
+# -- the resident batch workspace -------------------------------------------
+
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in KERNEL_MODES, reason="no compiled kernel available"
+)
+
+
+def _quality_stream(seed: int, n_jobs: int, capacity: int) -> list[Job]:
+    """Release-ordered tunable jobs with irregular qualities, so the float
+    accumulators depend on the order of their additions."""
+    rng = random.Random(seed)
+    jobs = []
+    release = 0.0
+    for j in range(n_jobs):
+        release += rng.choice((0.0, 0.5, 1.0, 2.5))
+        chains = []
+        for c in range(rng.randint(1, 3)):
+            tasks = []
+            elapsed = 0.0
+            for t in range(rng.randint(1, 3)):
+                duration = rng.randint(1, 16) * 0.5
+                elapsed += duration
+                tasks.append(
+                    TaskSpec(
+                        f"j{j}c{c}t{t}",
+                        ProcessorTimeRequest(rng.randint(1, capacity), duration),
+                        deadline=elapsed + rng.randint(0, 40) * 0.5,
+                        quality=rng.uniform(0.05, 1.0),
+                    )
+                )
+            chains.append(TaskChain(tuple(tasks), label=f"j{j}c{c}"))
+        jobs.append(Job(chains=tuple(chains), release=release))
+    return jobs
+
+
+def _stats(arbitrator: QoSArbitrator) -> tuple:
+    stats = arbitrator.schedule.profile.stats
+    return (stats.shift_ops, stats.segments_touched, stats.compactions)
+
+
+@needs_compiled
+def test_workspace_is_reused_and_grows():
+    with kernels.use("compiled"):
+        jobs = _quality_stream(5, 300, capacity=12)
+        arbitrator = QoSArbitrator(12)
+        arbitrator.admit_batch(jobs[:40])
+        ws = arbitrator._batch_workspace  # noqa: SLF001
+        names = ("times_buf", "releases", "task_dur", "out_starts", "dscratch")
+        buffers = [getattr(ws, name) for name in names]
+        addresses = dict(ws._addresses)  # noqa: SLF001
+        for k in range(40, 50, 2):
+            arbitrator.admit_batch(jobs[k : k + 2])
+        assert arbitrator._batch_workspace is ws  # noqa: SLF001
+        assert all(getattr(ws, n) is b for n, b in zip(names, buffers))
+        assert ws._addresses == addresses  # noqa: SLF001
+        small = len(ws.releases), len(ws.task_dur)
+        arbitrator.admit_batch(jobs[50:])
+        assert len(ws.releases) >= 250 > small[0]
+        assert len(ws.task_dur) > small[1]
+        assert ws.releases is not buffers[1]
+        assert arbitrator.schedule.perf.batch_fallbacks == 0
+        # Another arbitrator never shares the buffers.
+        other = QoSArbitrator(12)
+        other.admit_batch(jobs[:4])
+        assert other._batch_workspace is not ws  # noqa: SLF001
+
+
+@needs_compiled
+@pytest.mark.parametrize("composition", tuple(QualityComposition))
+def test_interleaved_batch_sizes_match_serial_submit(composition):
+    """One arbitrator, batches of 1 / 128 / 2500 jobs interleaved (so the
+    workspace is reused, grown and reused again): decisions, profile,
+    counters and both quality accumulators equal the serial loop's."""
+    sizes = (1, 128, 1, 2500, 128, 1, 128)
+    jobs = _quality_stream(7, sum(sizes), capacity=16)
+    with kernels.use("compiled"):
+        serial = QoSArbitrator(16, quality_composition=composition)
+        batched = QoSArbitrator(16, quality_composition=composition)
+        pos = 0
+        for size in sizes:
+            chunk = jobs[pos : pos + size]
+            pos += size
+            want = [serial.submit(job) for job in chunk]
+            got = batched.admit_batch(chunk)
+            assert [
+                (d.admitted, d.chain_index,
+                 d.placement.placements if d.placement else None)
+                for d in got
+            ] == [
+                (d.admitted, d.chain_index,
+                 d.placement.placements if d.placement else None)
+                for d in want
+            ]
+            assert _state(batched) == _state(serial)
+            assert _stats(batched) == _stats(serial)
+        assert batched.schedule.perf.batch_fallbacks == 0
+        assert 0 < batched.admitted < len(jobs)

@@ -206,17 +206,111 @@ def test_earliest_fit_arrays_infinite_tail():
 # -- the ctypes boundary ---------------------------------------------------
 
 
+def _spy_library(monkeypatch, impl) -> list:
+    """Swap ``impl``'s shared object for one that records every C call."""
+    calls: list = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return lambda *args: calls.append((name, args))
+
+    monkeypatch.setattr(impl, "_lib", Spy())
+    return calls
+
+
+def _probe_arrays():
+    times = np.array([0.0, 1.0, 2.0, 3.0], dtype=np.float64)
+    avail = np.array([4, 0, 4, 2], dtype=np.int64)
+    return times, avail
+
+
+def _read_only(arr):
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+#: Serial-probe arguments ``(times, avail, n, i)``, each malformed in one way.
+_BAD_PROBES = {
+    "wrong-dtype-times": lambda t, a: (t.astype(np.float32), a, 4, 0),
+    "wrong-dtype-avail": lambda t, a: (t, a.astype(np.int32), 4, 0),
+    "read-only": lambda t, a: (_read_only(t), a, 4, 0),
+    "non-contiguous": lambda t, a: (np.repeat(t, 2)[::2], a, 4, 0),
+    "i-at-n": lambda t, a: (t, a, 3, 3),
+    "negative-i": lambda t, a: (t, a, 4, -1),
+    "n-past-times": lambda t, a: (t, a, 5, 0),
+    "mismatched-lengths": lambda t, a: (t, a[:3].copy(), 3, 0),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(_BAD_PROBES))
+def test_earliest_fit_rejects_malformed_arguments_before_running_c(
+    monkeypatch, case
+):
+    from repro.core.kernels import compiled
+
+    impl = compiled.load()
+    times, avail, n, i = _BAD_PROBES[case](*_probe_arrays())
+    calls = _spy_library(monkeypatch, impl)
+    with pytest.raises(ValueError, match="earliest_fit"):
+        impl.earliest_fit_arrays(times, avail, n, i, 1, 1.0, 0.0, math.inf)
+    assert calls == []  # C never saw the probe
+
+
+#: ``range_min`` arguments ``(avail, lo, hi)``, each malformed in one way.
+_BAD_RANGES = {
+    "wrong-dtype": lambda a: (a.astype(np.float64), 0, 2),
+    "read-only": lambda a: (_read_only(a), 0, 2),
+    "non-contiguous": lambda a: (np.repeat(a, 2)[::2], 0, 2),
+    "lo-equals-hi": lambda a: (a, 2, 2),
+    "lo-above-hi": lambda a: (a, 3, 1),
+    "negative-lo": lambda a: (a, -1, 2),
+    "hi-past-avail": lambda a: (a, 0, 5),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(_BAD_RANGES))
+def test_range_min_rejects_malformed_arguments_before_running_c(
+    monkeypatch, case
+):
+    from repro.core.kernels import compiled
+
+    impl = compiled.load()
+    avail, lo, hi = _BAD_RANGES[case](_probe_arrays()[1])
+    calls = _spy_library(monkeypatch, impl)
+    with pytest.raises(ValueError, match="range_min"):
+        impl.range_min(avail, lo, hi)
+    assert calls == []
+
+
+@needs_compiled
+def test_serial_probes_accept_views_and_full_windows():
+    from repro.core.kernels import compiled
+
+    impl = compiled.load()
+    times, avail = _probe_arrays()
+    # The profile's mirrors are often views after a compaction.
+    start, scanned = impl.earliest_fit_arrays(
+        times[1:], avail[1:], 3, 0, 4, 0.5, 1.0, math.inf
+    )
+    assert (start, scanned) == (2.0, 2)
+    assert impl.range_min(avail, 0, 4) == 0
+    assert impl.range_min(avail[2:], 0, 2) == 2
+
+
 def _captured_admit_batch_args(monkeypatch):
-    """The keyword arguments of one real compiled ``admit_batch`` call."""
+    """The workspace and scalar arguments of one real compiled call."""
     from repro.core.kernels import compiled
     from repro.workloads.synthetic import SyntheticParams
 
     captured = {}
     real = compiled._check_batch_lengths
 
-    def record(kw):
-        captured.update(kw)
-        real(kw)
+    def record(ws, kw):
+        captured.update(ws=ws, kw=dict(kw))
+        real(ws, kw)
 
     monkeypatch.setattr(compiled, "_check_batch_lengths", record)
     params = SyntheticParams(x=16, t=25.0, alpha=0.5, laxity=0.5)
@@ -226,42 +320,98 @@ def _captured_admit_batch_args(monkeypatch):
         impl = kernels.active()
     monkeypatch.setattr(compiled, "_check_batch_lengths", real)
     assert captured, "the compiled batch path was not taken"
-    return impl, captured
+    assert captured["ws"] is arbitrator._batch_workspace  # noqa: SLF001
+    return impl, captured["ws"], captured["kw"]
 
 
-#: Each malformed in one way; all must be refused before C runs.
+def _n_tasks(ws, kw) -> int:
+    return int(ws.chain_task_off[ws.job_chain_off[kw["n_jobs"]]])
+
+
+def _rebind(name, make):
+    """A case that binds a malformed array into the workspace."""
+
+    def apply(ws, kw):
+        ws.bind(name, make(ws, kw))
+        return kw
+
+    return apply
+
+
+def _prof_window_past_buf_cap(ws, kw):
+    ws.prof_state[:] = (0, kw["buf_cap"] + 1)
+    return kw
+
+
+#: Each malformed in one way; all must be refused before C runs.  The
+#: first six fail when the array is bound, the rest at the call.
 _MALFORMED = {
-    "wrong-dtype-float": ("task_dur", lambda kw: kw["task_dur"].astype(np.float32)),
-    "wrong-dtype-int": ("task_procs", lambda kw: kw["task_procs"].astype(np.int32)),
-    "non-contiguous": ("times_buf", lambda kw: np.repeat(kw["times_buf"], 2)[::2]),
-    "two-dimensional": ("dscratch", lambda kw: kw["dscratch"].reshape(1, -1)),
-    "read-only": ("counters", lambda kw: np.broadcast_to(kw["counters"], 12)),
-    "not-an-array": ("releases", lambda kw: kw["releases"].tolist()),
-    "short-out_starts": ("out_starts", lambda kw: kw["out_starts"][:-1].copy()),
-    "short-out_chain": ("out_chain", lambda kw: np.empty(0, dtype=np.int64)),
-    "buf_cap-beyond-buffers": ("buf_cap", lambda kw: len(kw["times_buf"]) + 1),
-    "max_chains-too-large": ("max_chains", lambda kw: kw["max_chains"] * 50),
-    "profile-window-past-buf_cap": (
-        "prof_state", lambda kw: np.array([0, kw["buf_cap"] + 1], dtype=np.int64)
+    "wrong-dtype-float": _rebind(
+        "task_dur", lambda ws, kw: ws.task_dur.astype(np.float32)
     ),
+    "wrong-dtype-int": _rebind(
+        "task_procs", lambda ws, kw: ws.task_procs.astype(np.int32)
+    ),
+    "non-contiguous": _rebind(
+        "times_buf", lambda ws, kw: np.repeat(ws.times_buf, 2)[::2]
+    ),
+    "two-dimensional": _rebind(
+        "dscratch", lambda ws, kw: ws.dscratch.reshape(1, -1)
+    ),
+    "read-only": _rebind(
+        "counters", lambda ws, kw: np.broadcast_to(ws.counters, 12)
+    ),
+    "not-an-array": _rebind("releases", lambda ws, kw: ws.releases.tolist()),
+    "short-out_starts": _rebind(
+        "out_starts", lambda ws, kw: ws.out_starts[: _n_tasks(ws, kw) - 1].copy()
+    ),
+    "short-out_chain": _rebind(
+        "out_chain", lambda ws, kw: np.empty(0, dtype=np.int64)
+    ),
+    "buf_cap-beyond-buffers": lambda ws, kw: {
+        **kw, "buf_cap": len(ws.times_buf) + 1
+    },
+    "max_chains-too-large": lambda ws, kw: {
+        **kw, "max_chains": kw["max_chains"] * 50
+    },
+    "profile-window-past-buf_cap": _prof_window_past_buf_cap,
 }
 
 
 @needs_compiled
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_admit_batch_rejects_malformed_arrays_before_running_c(monkeypatch, case):
-    impl, kw = _captured_admit_batch_args(monkeypatch)
-    name, bad = _MALFORMED[case]
-    calls = []
-    spy = type("Lib", (), {"repro_admit_batch": lambda *a: calls.append(a)})
-    monkeypatch.setattr(impl, "_lib", spy())
+    impl, ws, kw = _captured_admit_batch_args(monkeypatch)
+    calls = _spy_library(monkeypatch, impl)
     with pytest.raises(ValueError, match="admit_batch"):
-        impl.admit_batch(**{**kw, name: bad(kw)})
+        impl.admit_batch(ws, **_MALFORMED[case](ws, kw))
     assert calls == []  # C never saw the batch
 
 
 @needs_compiled
+def test_failed_bind_keeps_the_previous_array(monkeypatch):
+    _, ws, _ = _captured_admit_batch_args(monkeypatch)
+    before = ws.task_dur
+    with pytest.raises(ValueError, match="admit_batch: task_dur"):
+        ws.bind("task_dur", before.astype(np.float32))
+    assert ws.task_dur is before
+
+
+@needs_compiled
 def test_admit_batch_accepts_well_formed_arrays(monkeypatch):
-    impl, kw = _captured_admit_batch_args(monkeypatch)
+    impl, ws, kw = _captured_admit_batch_args(monkeypatch)
     kw = {**kw, "n_jobs": 0}  # a valid call that commits nothing
-    assert impl.admit_batch(**kw) == 0
+    assert impl.admit_batch(ws, **kw) == 0
+
+
+def test_workspace_copies_are_empty():
+    import copy
+    import pickle
+
+    from repro.core.kernels.compiled import BatchWorkspace
+
+    ws = BatchWorkspace()
+    ws.reserve(64, 4, 8, 16, 2, 8)
+    for clone in (copy.copy(ws), copy.deepcopy(ws), pickle.loads(pickle.dumps(ws))):
+        assert len(clone.times_buf) == 0  # never the original's buffers
+        assert len(clone.counters) == 12

@@ -40,11 +40,23 @@ positive = st.one_of(
     st.sampled_from([5e-324, 1e-310, 0.1, 1e300]),
 )
 finite = st.one_of(odd_floats, st.floats(allow_nan=False, allow_infinity=False))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), finite, awkward)
 params = st.one_of(
     st.none(),
+    st.dictionaries(awkward, scalars, max_size=3),
+    # Tuples, nested in lists and dicts: JSON gives lists back, so the
+    # chain must hold lists from the start.
     st.dictionaries(
         awkward,
-        st.one_of(st.none(), st.booleans(), st.integers(), finite, awkward),
+        st.recursive(
+            scalars,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=3).map(tuple),
+                st.lists(inner, max_size=3),
+                st.dictionaries(awkward, inner, max_size=2),
+            ),
+            max_leaves=6,
+        ),
         max_size=3,
     ),
 )

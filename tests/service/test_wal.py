@@ -10,8 +10,11 @@ import zlib
 
 import pytest
 
+from repro.core.resources import ProcessorTimeRequest
 from repro.errors import WalCorruptionError
+from repro.model.chain import TaskChain
 from repro.model.job import Job
+from repro.model.task import TaskSpec
 from repro.service.wal import (
     FORMAT_VERSION,
     LedgerEntry,
@@ -245,6 +248,38 @@ def test_checkpoint_with_duplicate_seqs_or_bad_columns_is_corruption(tmp_path):
             read_checkpoint(tmp_path)
     _write_hashed_checkpoint(tmp_path, good)
     assert [e.seq for e in read_checkpoint(tmp_path)[0]] == [1, 2]
+
+
+def _tuple_params_entry():
+    """An entry whose chain params hold tuples (nested, and inside a dict)."""
+    task = TaskSpec("t", ProcessorTimeRequest(2, 1.5), deadline=4.0)
+    chain = TaskChain(
+        (task,), label="c",
+        params={"shape": (1, 2), "grid": ((0, 1), [2, (3,)]), "opt": {"k": (4,)}},
+    )
+    return LedgerEntry(seq=1, request_id="r", qos=0, degraded=False,
+                       job=Job(chains=(chain,), release=0.0), decision=REJ)
+
+
+def test_tuple_params_survive_the_wal(tmp_path):
+    entry = _tuple_params_entry()
+    wal = WriteAheadLog(tmp_path)
+    wal.append_jobs([entry])
+    wal.close()
+    records, _ = read_wal(tmp_path / "wal.log")
+    (loaded,) = records_to_entries(records)
+    assert loaded.job.chains == entry.job.chains
+    assert loaded.job.chains[0].params == {
+        "shape": [1, 2], "grid": [[0, 1], [2, [3]]], "opt": {"k": [4]},
+    }
+
+
+def test_tuple_params_survive_the_checkpoint(tmp_path):
+    entry = _tuple_params_entry()
+    write_checkpoint(tmp_path, [entry])
+    (loaded,), _ = read_checkpoint(tmp_path)
+    assert loaded.job.chains == entry.job.chains
+    assert repr(loaded) == repr(entry)
 
 
 def test_checkpoint_round_trip_truncation_and_watermark(tmp_path):
